@@ -650,23 +650,99 @@ func BenchmarkRSReconstruct(b *testing.B) {
 }
 
 // BenchmarkAggregatorObserve measures the streaming statistics fold that
-// every simulated probe passes through.
+// every simulated probe passes through. "n=30" walks the paper testbed's
+// paths in order; "n=512-sparse" observes random pairs of a 512-host
+// mesh at the path coverage of a landmark cell (~12% of the n² paths
+// per method), so every probe looks its path up through the sparse slot
+// index. Both are allocation-free once every path in the stream has its
+// slot, which benchguard enforces.
 func BenchmarkAggregatorObserve(b *testing.B) {
-	agg := analysis.NewAggregator([]string{"direct", "direct rand"}, 30)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := i % 29
-		agg.Observe(analysis.Observation{
-			Method: i % 2,
-			Src:    src,
-			Dst:    src + 1,
-			Time:   int64(i) * int64(time.Second),
-			Copies: 1 + i%2,
-			Lost:   [2]bool{i%97 == 0, i%53 == 0},
-			Lat:    [2]time.Duration{50 * time.Millisecond, 60 * time.Millisecond},
-		})
-	}
+	b.Run("n=30", func(b *testing.B) {
+		agg := analysis.NewAggregator([]string{"direct", "direct rand"}, 30)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src := i % 29
+			agg.Observe(analysis.Observation{
+				Method: i % 2,
+				Src:    src,
+				Dst:    src + 1,
+				Time:   int64(i) * int64(time.Second),
+				Copies: 1 + i%2,
+				Lost:   [2]bool{i%97 == 0, i%53 == 0},
+				Lat:    [2]time.Duration{50 * time.Millisecond, 60 * time.Millisecond},
+			})
+		}
+	})
+	b.Run("n=512-sparse", func(b *testing.B) {
+		const hosts, pairs = 512, 3 << 15
+		agg := analysis.NewAggregator([]string{"loss", "direct rand", "lat loss"}, hosts)
+		var rng netsim.Source
+		rng.Seed(1)
+		obs := make([]analysis.Observation, pairs)
+		for i := range obs {
+			src := rng.Intn(hosts)
+			dst := rng.Intn(hosts - 1)
+			if dst >= src {
+				dst++
+			}
+			obs[i] = analysis.Observation{
+				Method: i % 3,
+				Src:    src,
+				Dst:    dst,
+				Copies: 1 + min(i%3, 1),
+				Lost:   [2]bool{i%97 == 0, i%53 == 0},
+				Lat:    [2]time.Duration{50 * time.Millisecond, 60 * time.Millisecond},
+			}
+		}
+		// One warm pass gives every pair of the stream its slot (and
+		// the pooled window CDFs their runs), so the timed loop is the
+		// steady state of a long cell.
+		for i := range obs {
+			obs[i].Time = int64(i) * int64(time.Second)
+			agg.Observe(obs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o := &obs[i%pairs]
+			o.Time = int64(pairs+i) * int64(time.Second)
+			agg.Observe(*o)
+		}
+	})
+}
+
+// BenchmarkSnapshotCodec measures the aggregator snapshot codec on a
+// real cell — a 512-node landmark-policy campaign, the big-world sweep's
+// unit of work: one op is AppendBinary into a reused buffer plus
+// UnmarshalAggregator of the result. The payload size is reported as
+// snapshot-bytes.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	b.Run("n=512-lm", func(b *testing.B) {
+		cfg := core.DefaultConfig(core.RONnarrow, 0.002)
+		cfg.Seed = 1
+		cfg.Nodes = 512
+		cfg.Policy = core.PolicyLandmark
+		res, err := core.NewArena().RunRetained(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		buf, err := res.Agg.AppendBinary(nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if buf, err = res.Agg.AppendBinary(buf[:0]); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := analysis.UnmarshalAggregator(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(buf)), "snapshot-bytes")
+	})
 }
 
 // BenchmarkStoreAppend measures the result store's steady-state append:

@@ -154,10 +154,10 @@ func main() {
 		input    = flag.String("input", "-", "benchmark source: a `go test -bench` output file, or a benchguard JSON artifact (detected by leading '{'); '-' reads stdin")
 		baseline = flag.String("baseline", "", "committed BENCH_campaign.json to compare against (its 'post' section)")
 		maxNs    = flag.Float64("max-ns-regress", 0.10, "maximum fractional ns/op regression on the -ns-checked benchmarks")
-		nsules   = flag.String("ns-checked", "BenchmarkSweep/serial,BenchmarkSweepTurnover,BenchmarkWorkloadCell,BenchmarkCampaign/paper,BenchmarkNetworkSendDirect,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot", "comma-separated benchmarks whose ns/op regressions fail the guard")
+		nsules   = flag.String("ns-checked", "BenchmarkSweep/serial,BenchmarkSweepTurnover,BenchmarkWorkloadCell,BenchmarkCampaign/paper,BenchmarkNetworkSendDirect,BenchmarkAggregatorObserve/n=30,BenchmarkSelectorSnapshot", "comma-separated benchmarks whose ns/op regressions fail the guard")
 		speedups = flag.String("min-speedup", "BenchmarkCampaign/n=1024:BenchmarkCampaign/n=1024-lm:5", "comma-separated slow:fast:ratio triples: when both benchmarks appear in the input, slow's ns/op must be at least ratio times fast's (the committed curve records 10.8x at n=1024; the gate floor absorbs runner noise)")
 		cal      = flag.String("calibrate", "BenchmarkComponentTransit", "benchmark used to normalize machine speed before ns/op checks ('' disables): baseline ns values are scaled by this benchmark's current/baseline ratio, clamped to [0.5,2], so the guard measures hot-path regressions relative to the machine's arithmetic speed instead of raw cross-machine deltas")
-		zeroed   = flag.String("zero-allocs", "BenchmarkNetworkSendDirect,BenchmarkAggregatorObserve,BenchmarkSelectorSnapshot,BenchmarkSelectorBestLoss,BenchmarkComponentTransit,BenchmarkStoreAppend", "comma-separated benchmarks that must report exactly 0 allocs/op")
+		zeroed   = flag.String("zero-allocs", "BenchmarkNetworkSendDirect,BenchmarkAggregatorObserve/n=30,BenchmarkAggregatorObserve/n=512-sparse,BenchmarkSelectorSnapshot,BenchmarkSelectorBestLoss,BenchmarkComponentTransit,BenchmarkStoreAppend", "comma-separated benchmarks that must report exactly 0 allocs/op")
 	)
 	flag.Parse()
 

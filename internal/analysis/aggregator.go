@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -49,6 +50,34 @@ type pathWindows struct {
 	w60 windowState
 }
 
+// freshWindows is a newly observed path's window state: no window open.
+var freshWindows = pathWindows{w20: windowState{index: -1}, w60: windowState{index: -1}}
+
+// pathSlot is the state of one observed (method, path): the path index
+// (src*nHosts+dst), its in-progress windows, and its long-run counters.
+type pathSlot struct {
+	path  int32
+	win   pathWindows
+	stats pathStats
+}
+
+// add sums o's counters into s.
+func (s *pathStats) add(o *pathStats) {
+	s.probes += o.probes
+	s.firstSent += o.firstSent
+	s.firstLost += o.firstLost
+	s.secondSent += o.secondSent
+	s.secondLost += o.secondLost
+	s.bothLost += o.bothLost
+	s.effLost += o.effLost
+	s.latSumNS += o.latSumNS
+	s.latN += o.latN
+	s.lat1SumNS += o.lat1SumNS
+	s.lat1N += o.lat1N
+	s.lat2SumNS += o.lat2SumNS
+	s.lat2N += o.lat2N
+}
+
 // Aggregator consumes Observations and produces the paper's tables and
 // figures. Create with NewAggregator; feed with Observe; query with the
 // Table*/Figure* methods after the campaign (queries are also safe
@@ -58,26 +87,34 @@ type pathWindows struct {
 type Aggregator struct {
 	methods []string
 	nHosts  int
-	nPaths  int
 
-	perPath [][]pathStats // [method][src*nHosts+dst]
-
-	// touched[m] lists the path indices with at least one observation
-	// for method m (probes > 0, appended on the 0→1 transition). Reset,
-	// Flush, and every per-path query iterate this list instead of the
-	// full nHosts² slab, so their cost scales with paths actually
-	// probed — under the landmark policy that is O(n·√n) of an O(n²)
-	// slab. Rows are kept sorted lazily (touchedSorted) because queries
-	// that accumulate floats or feed CDFs must visit paths in the same
-	// ascending order a full scan would.
-	touched       [][]int32
-	touchedSorted []bool
+	// Per-path state is sparse: slots[m] holds one pathSlot per path
+	// that method m has observed (probes > 0), appended on the first
+	// observation. Memory, Reset, Flush, Merge and snapshots therefore
+	// scale with the paths actually probed — under the landmark policy
+	// O(n·√n) of the n² ordered pairs.
+	//
+	// Queries that accumulate floats or feed CDFs must visit paths in
+	// ascending path order, as a full scan would, so slots are kept in
+	// that order except while Observe appends out of order; sorted[m]
+	// records which, and pathSlots restores the order lazily. Decoded
+	// and merged state is always in order.
+	slots  [][]pathSlot
+	sorted []bool
+	// index[m] maps a path to its slot plus one (0 = unobserved). It is
+	// the only O(n²) structure, built on the first Observe for the
+	// method, so aggregators that are only decoded, merged into or
+	// queried never allocate it.
+	index [][]int32
+	// windowsOpen records that some slot has an in-progress window, so
+	// Flush of an aggregator that is already flushed — every decoded or
+	// merged one, and both sides of most merges — costs nothing.
+	windowsOpen bool
 
 	// Window machinery: the 20-minute windows (Figure 3) pool flushed
 	// samples across paths per method; the 1-hour windows (Table 6)
 	// count path-hours whose effective loss rate exceeded each
 	// threshold.
-	wins        [][]pathWindows // [method][path]
 	win20Rates  []*CDF
 	hourCounts  [][]int64 // [method][threshold index]
 	hourPeriods []int64   // total flushed path-hours per method
@@ -105,45 +142,39 @@ type Aggregator struct {
 // Table6Thresholds are the loss-percentage thresholds of Table 6.
 var Table6Thresholds = []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
 
+// maxHosts bounds the mesh an aggregator covers, so every path index
+// src*nHosts+dst fits an int32.
+const maxHosts = 1 << 15
+
 // NewAggregator creates an aggregator for a campaign with the given
 // method names over an nHosts mesh.
 func NewAggregator(methods []string, nHosts int) *Aggregator {
 	if len(methods) == 0 || nHosts < 2 {
 		panic("analysis: aggregator needs methods and at least 2 hosts")
 	}
+	if nHosts > maxHosts {
+		panic(fmt.Sprintf("analysis: aggregator of %d hosts exceeds maxHosts (%d)", nHosts, maxHosts))
+	}
 	nm := len(methods)
 	a := &Aggregator{
-		methods:       append([]string(nil), methods...),
-		nHosts:        nHosts,
-		nPaths:        nHosts * nHosts,
-		perPath:       make([][]pathStats, nm),
-		wins:          make([][]pathWindows, nm),
-		win20Rates:    make([]*CDF, nm),
-		hourCounts:    make([][]int64, nm),
-		hourPeriods:   make([]int64, nm),
-		hodSent:       make([][24]int64, nm),
-		hodLost:       make([][24]int64, nm),
-		touched:       make([][]int32, nm),
-		touchedSorted: make([]bool, nm),
+		methods:     append([]string(nil), methods...),
+		nHosts:      nHosts,
+		slots:       make([][]pathSlot, nm),
+		sorted:      make([]bool, nm),
+		index:       make([][]int32, nm),
+		win20Rates:  make([]*CDF, nm),
+		hourCounts:  make([][]int64, nm),
+		hourPeriods: make([]int64, nm),
+		hodSent:     make([][24]int64, nm),
+		hodLost:     make([][24]int64, nm),
 	}
-	// The per-method arrays are carved from three slabs (an aggregator
-	// is built per sweep cell, so constructor allocation count scales
-	// with the grid). Full-slice-expression carving keeps an append on
-	// one row from stomping its neighbor; nothing appends to these.
-	pathSlab := make([]pathStats, nm*a.nPaths)
-	winSlab := make([]pathWindows, nm*a.nPaths)
-	touchSlab := make([]int32, nm*a.nPaths)
+	// The Table 6 rows and window pools are carved from one slab each.
+	// Full-slice-expression carving keeps an append on one row from
+	// stomping its neighbor; nothing appends to these.
 	hourSlab := make([]int64, nm*len(Table6Thresholds))
 	cdfs := make([]CDF, nm)
 	for m := 0; m < nm; m++ {
-		a.perPath[m] = pathSlab[m*a.nPaths : (m+1)*a.nPaths : (m+1)*a.nPaths]
-		a.wins[m] = winSlab[m*a.nPaths : (m+1)*a.nPaths : (m+1)*a.nPaths]
-		a.touched[m] = touchSlab[m*a.nPaths : m*a.nPaths : (m+1)*a.nPaths]
-		a.touchedSorted[m] = true
-		for p := range a.wins[m] {
-			a.wins[m][p].w20.index = -1
-			a.wins[m][p].w60.index = -1
-		}
+		a.sorted[m] = true
 		a.win20Rates[m] = &cdfs[m]
 		a.hourCounts[m] = hourSlab[m*len(Table6Thresholds) : (m+1)*len(Table6Thresholds) : (m+1)*len(Table6Thresholds)]
 	}
@@ -155,20 +186,18 @@ func NewAggregator(methods []string, nHosts int) *Aggregator {
 // and diurnal tally zeroed — while retaining all storage. A campaign
 // driver that reuses one aggregator across cells gets query results
 // identical to a NewAggregator per cell without re-paying the
-// O(methods × hosts²) allocation.
+// allocation of its path slots and index.
 func (a *Aggregator) Reset() {
 	for m := range a.methods {
-		// Only paths that were observed have non-fresh state; clearing
-		// just those keeps cell turnover O(paths probed), not O(hosts²).
-		for _, pi := range a.touched[m] {
-			a.perPath[m][pi] = pathStats{}
-			a.wins[m][pi] = pathWindows{
-				w20: windowState{index: -1},
-				w60: windowState{index: -1},
+		// Only observed paths have index entries; clearing just those
+		// keeps cell turnover O(paths probed), not O(hosts²).
+		if idx := a.index[m]; idx != nil {
+			for i := range a.slots[m] {
+				idx[a.slots[m][i].path] = 0
 			}
 		}
-		a.touched[m] = a.touched[m][:0]
-		a.touchedSorted[m] = true
+		a.slots[m] = a.slots[m][:0]
+		a.sorted[m] = true
 		a.win20Rates[m].Reset()
 		clear(a.hourCounts[m])
 		a.hodSent[m] = [24]int64{}
@@ -176,11 +205,24 @@ func (a *Aggregator) Reset() {
 	}
 	clear(a.hourPeriods)
 	a.hourMaxRate = 0
+	a.windowsOpen = false
 	if a.wl != nil {
 		a.wl.reset()
 	}
 	if a.res != nil {
 		a.res.reset()
+	}
+}
+
+// Reserve makes room for paths observed paths per method, so a fresh
+// aggregator fed a campaign of known size fills its slots without
+// regrowing them. A reused aggregator that already has the capacity is
+// left as is.
+func (a *Aggregator) Reserve(paths int) {
+	for m := range a.slots {
+		if more := paths - len(a.slots[m]); more > 0 {
+			a.slots[m] = slices.Grow(a.slots[m], more)
+		}
 	}
 }
 
@@ -197,19 +239,66 @@ func (a *Aggregator) MethodIndex(name string) int {
 	return -1
 }
 
-func (a *Aggregator) pathIndex(src, dst int) int { return src*a.nHosts + dst }
+func (a *Aggregator) pathIndex(src, dst int) int32 { return int32(src*a.nHosts + dst) }
 
-// touchedPaths returns method m's observed path indices in ascending
-// order. Queries iterate it in place of a full 0..nPaths scan; ascending
-// order makes float accumulations and CDF feeds visit paths exactly as
-// the full scan would, so results are bit-identical (skipped paths are
+// pathSlots returns method m's observed paths in ascending path order.
+// Queries iterate it in place of a full 0..n² scan; ascending order
+// makes float accumulations and CDF feeds visit paths exactly as the
+// full scan would, so results are bit-identical (skipped paths are
 // all-zero and contribute exact 0.0 terms or fail every filter).
-func (a *Aggregator) touchedPaths(m int) []int32 {
-	if !a.touchedSorted[m] {
-		slices.Sort(a.touched[m])
-		a.touchedSorted[m] = true
+func (a *Aggregator) pathSlots(m int) []pathSlot {
+	if !a.sorted[m] {
+		a.slots[m] = a.appendSorted(m, make([]pathSlot, 0, cap(a.slots[m])))
+		a.sorted[m] = true
+		a.reindex(m)
 	}
-	return a.touched[m]
+	return a.slots[m]
+}
+
+// appendSorted appends method m's slots to dst in ascending path order
+// without reordering a's own. Slots fall out of order only through
+// Observe, which built the index, so an index scan yields the order
+// with no comparison sort.
+func (a *Aggregator) appendSorted(m int, dst []pathSlot) []pathSlot {
+	slots := a.slots[m]
+	if a.sorted[m] {
+		return append(dst, slots...)
+	}
+	for _, s := range a.index[m] {
+		if s != 0 {
+			dst = append(dst, slots[s-1])
+		}
+	}
+	return dst
+}
+
+// reindex points method m's index, if built, at its current slots.
+func (a *Aggregator) reindex(m int) {
+	if idx := a.index[m]; idx != nil {
+		for s := range a.slots[m] {
+			idx[a.slots[m][s].path] = int32(s + 1)
+		}
+	}
+}
+
+// addSlot appends a fresh slot for path pi of method m and returns its
+// index entry (slot plus one). Kept out of observe so the per-probe
+// path stays small.
+func (a *Aggregator) addSlot(m int, pi int32) int32 {
+	if a.index[m] == nil {
+		// First Observe for the method: slots merged in earlier need
+		// entries too.
+		a.index[m] = make([]int32, a.nHosts*a.nHosts)
+		a.reindex(m)
+	}
+	slots := a.slots[m]
+	if n := len(slots); n > 0 && slots[n-1].path > pi {
+		a.sorted[m] = false
+	}
+	a.slots[m] = append(slots, pathSlot{path: pi, win: freshWindows})
+	s := int32(len(a.slots[m]))
+	a.index[m][pi] = s
+	return s
 }
 
 // Observe folds one probe outcome into every statistic. Observations for
@@ -226,12 +315,16 @@ func (a *Aggregator) observe(o *Observation) {
 		panic(err)
 	}
 	pi := a.pathIndex(o.Src, o.Dst)
-	ps := &a.perPath[o.Method][pi]
-
-	if ps.probes == 0 {
-		a.touched[o.Method] = append(a.touched[o.Method], int32(pi))
-		a.touchedSorted[o.Method] = false
+	var s int32
+	if idx := a.index[o.Method]; idx != nil {
+		s = idx[pi]
 	}
+	if s == 0 {
+		s = a.addSlot(o.Method, pi)
+	}
+	slot := &a.slots[o.Method][s-1]
+	ps := &slot.stats
+
 	ps.probes++
 	ps.firstSent++
 	if o.Lost[0] {
@@ -267,8 +360,11 @@ func (a *Aggregator) observe(o *Observation) {
 	// observeWindow(flush func(...)) — because this is the per-probe hot
 	// path: the flush closures would capture o.Method and escape,
 	// costing two allocations per observation.
-	pw := &a.wins[o.Method][pi]
+	pw := &slot.win
 	if idx := o.Time / int64(WindowShort); pw.w20.index != idx {
+		// Every new window opens here: an hour boundary is also a
+		// 20-minute boundary.
+		a.windowsOpen = true
 		if pw.w20.index >= 0 && pw.w20.sent > 0 {
 			a.win20Rates[o.Method].Add(float64(pw.w20.lost) / float64(pw.w20.sent))
 		}
@@ -330,9 +426,15 @@ func (a *Aggregator) flushHour(method int, rate float64) {
 // Flush finalizes all in-progress windows. Call once after the campaign
 // ends so partial windows contribute their samples.
 func (a *Aggregator) Flush() {
+	if !a.windowsOpen {
+		return
+	}
+	a.windowsOpen = false
 	for m := range a.methods {
-		for _, pi := range a.touchedPaths(m) {
-			pw := &a.wins[m][pi]
+		// Any slot order will do: window samples pool into a CDF and
+		// hour counts are sums, so neither depends on visit order.
+		for i := range a.slots[m] {
+			pw := &a.slots[m][i].win
 			if w := &pw.w20; w.index >= 0 && w.sent > 0 {
 				a.win20Rates[m].Add(float64(w.lost) / float64(w.sent))
 				w.index, w.sent, w.lost = -1, 0, 0
@@ -379,26 +481,15 @@ func (a *Aggregator) Merge(other *Aggregator) error {
 	a.Flush()
 	other.Flush()
 	for m := range a.methods {
-		for _, pi := range other.touchedPaths(m) {
-			ps, os := &a.perPath[m][pi], &other.perPath[m][pi]
-			if ps.probes == 0 {
-				a.touched[m] = append(a.touched[m], pi)
-				a.touchedSorted[m] = false
-			}
-			ps.probes += os.probes
-			ps.firstSent += os.firstSent
-			ps.firstLost += os.firstLost
-			ps.secondSent += os.secondSent
-			ps.secondLost += os.secondLost
-			ps.bothLost += os.bothLost
-			ps.effLost += os.effLost
-			ps.latSumNS += os.latSumNS
-			ps.latN += os.latN
-			ps.lat1SumNS += os.lat1SumNS
-			ps.lat1N += os.lat1N
-			ps.lat2SumNS += os.lat2SumNS
-			ps.lat2N += os.lat2N
+		if len(a.slots[m]) == 0 {
+			// Into an empty method (every Clone, a group's first
+			// replica): other's slots, presized to their exact count.
+			a.slots[m] = other.appendSorted(m, slices.Grow(a.slots[m], len(other.slots[m])))
+		} else {
+			a.mergeSlots(m, other.pathSlots(m))
 		}
+		a.sorted[m] = true
+		a.reindex(m)
 		a.win20Rates[m].Merge(other.win20Rates[m])
 		for i := range a.hourCounts[m] {
 			a.hourCounts[m][i] += other.hourCounts[m][i]
@@ -421,6 +512,70 @@ func (a *Aggregator) Merge(other *Aggregator) error {
 		a.ensureResilience().merge(other.res)
 	}
 	return nil
+}
+
+// mergeSlots sums theirs — slots in ascending path order — into method
+// m's slots. While both lists hold the same paths at the same positions
+// (a full mesh's replicas always do) it adds in place. Past that, one
+// pass counts the paths new to a, the slots grow once by exactly that,
+// and a merge from the back interleaves them in place, keeping a's
+// slots in path order; once every new path is placed, the slots below
+// the cursor are already in place and the rest of theirs only adds into
+// them.
+func (a *Aggregator) mergeSlots(m int, theirs []pathSlot) {
+	mine := a.pathSlots(m)
+	p := 0
+	for p < len(mine) && p < len(theirs) && mine[p].path == theirs[p].path {
+		mine[p].stats.add(&theirs[p].stats)
+		p++
+	}
+	theirs = theirs[p:]
+	fresh, i := 0, p
+	for j := range theirs {
+		for i < len(mine) && mine[i].path < theirs[j].path {
+			i++
+		}
+		if i == len(mine) || mine[i].path != theirs[j].path {
+			fresh++
+		}
+	}
+	n := len(mine)
+	out := slices.Grow(mine, fresh)[:n+fresh]
+	i, j := n-1, len(theirs)-1
+	for k := len(out) - 1; k > i; k-- {
+		switch {
+		case i >= 0 && out[i].path > theirs[j].path:
+			out[k] = out[i]
+			i--
+		case i >= 0 && out[i].path == theirs[j].path:
+			out[k] = out[i]
+			out[k].stats.add(&theirs[j].stats)
+			i--
+			j--
+		default:
+			out[k] = theirs[j]
+			j--
+		}
+	}
+	for ; j >= 0; j-- {
+		for out[i].path != theirs[j].path {
+			i--
+		}
+		out[i].stats.add(&theirs[j].stats)
+	}
+	a.slots[m] = out
+}
+
+// Clone returns an independent copy of a — flushed, as Merge leaves it —
+// whose per-path state is sized exactly to the paths a observed. A
+// reused campaign aggregator hands out clones so retained results hold
+// no spare capacity.
+func (a *Aggregator) Clone() *Aggregator {
+	c := NewAggregator(a.methods, a.nHosts)
+	if err := c.Merge(a); err != nil {
+		panic(err) // same methods and hosts by construction
+	}
+	return c
 }
 
 // MethodTotals is one row of Table 5 / Table 7.
@@ -446,21 +601,9 @@ type MethodTotals struct {
 // Totals computes the aggregate row for one method across all paths.
 func (a *Aggregator) Totals(method int) MethodTotals {
 	var sum pathStats
-	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
-		sum.probes += ps.probes
-		sum.firstSent += ps.firstSent
-		sum.firstLost += ps.firstLost
-		sum.secondSent += ps.secondSent
-		sum.secondLost += ps.secondLost
-		sum.bothLost += ps.bothLost
-		sum.effLost += ps.effLost
-		sum.latSumNS += ps.latSumNS
-		sum.latN += ps.latN
-		sum.lat1SumNS += ps.lat1SumNS
-		sum.lat1N += ps.lat1N
-		sum.lat2SumNS += ps.lat2SumNS
-		sum.lat2N += ps.lat2N
+	slots := a.pathSlots(method)
+	for i := range slots {
+		sum.add(&slots[i].stats)
 	}
 	pct := func(num, den int64) float64 {
 		if den == 0 {
@@ -490,8 +633,9 @@ func (a *Aggregator) Totals(method int) MethodTotals {
 func (a *Aggregator) InferredSingle(method, copy int, name string) MethodTotals {
 	var sent, lost, latN int64
 	var latSum float64
-	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
+	slots := a.pathSlots(method)
+	for i := range slots {
+		ps := &slots[i].stats
 		if copy == 0 {
 			sent += ps.firstSent
 			lost += ps.firstLost
@@ -559,8 +703,9 @@ func (a *Aggregator) HighLossHours() Table6 {
 // with at least minProbes observations.
 func (a *Aggregator) PathLossCDF(method, minProbes int) *CDF {
 	c := &CDF{}
-	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
+	slots := a.pathSlots(method)
+	for i := range slots {
+		ps := &slots[i].stats
 		if ps.probes < int64(minProbes) || ps.probes == 0 {
 			continue
 		}
@@ -580,8 +725,9 @@ func (a *Aggregator) WindowRateCDF(method int) *CDF {
 // one first-copy loss, for a two-copy method.
 func (a *Aggregator) CLPByPathCDF(method int) *CDF {
 	c := &CDF{}
-	for _, pi := range a.touchedPaths(method) {
-		ps := &a.perPath[method][pi]
+	slots := a.pathSlots(method)
+	for i := range slots {
+		ps := &slots[i].stats
 		if ps.firstLost == 0 || ps.secondSent == 0 {
 			continue
 		}
@@ -596,16 +742,26 @@ func (a *Aggregator) CLPByPathCDF(method int) *CDF {
 // reference (and 0 floor) to include all paths.
 func (a *Aggregator) PathLatencyCDF(method, refMethod int, minRef time.Duration) *CDF {
 	c := &CDF{}
-	for _, pi := range a.touchedPaths(method) {
-		ref := &a.perPath[refMethod][pi]
-		if ref.latN == 0 {
+	slots, refs := a.pathSlots(method), a.pathSlots(refMethod)
+	r := 0
+	for i := range slots {
+		// Both lists ascend by path: advance the reference cursor to
+		// this path; a path the reference never observed is skipped.
+		for r < len(refs) && refs[r].path < slots[i].path {
+			r++
+		}
+		if r == len(refs) {
+			break
+		}
+		ref := &refs[r].stats
+		if refs[r].path != slots[i].path || ref.latN == 0 {
 			continue
 		}
 		refLat := time.Duration(ref.latSumNS / float64(ref.latN))
 		if refLat < minRef {
 			continue
 		}
-		ps := &a.perPath[method][pi]
+		ps := &slots[i].stats
 		if ps.latN == 0 {
 			continue
 		}
@@ -617,14 +773,20 @@ func (a *Aggregator) PathLatencyCDF(method, refMethod int, minRef time.Duration)
 // PathCount returns how many ordered paths have observations for the
 // method (useful for reporting "on the N paths on which...").
 func (a *Aggregator) PathCount(method int) int {
-	// Membership in touched is exactly probes > 0.
-	return len(a.touched[method])
+	// A slot exists exactly for paths with probes > 0.
+	return len(a.slots[method])
 }
 
 // PathTotals exposes one path's raw counters for a method (testing and
-// diagnostics).
+// diagnostics); a path the method never observed reports zeros.
 func (a *Aggregator) PathTotals(method, src, dst int) (probes, firstLost, bothLost, effLost int64) {
-	ps := &a.perPath[method][a.pathIndex(src, dst)]
+	slots := a.pathSlots(method)
+	i, ok := slices.BinarySearchFunc(slots, a.pathIndex(src, dst),
+		func(s pathSlot, pi int32) int { return cmp.Compare(s.path, pi) })
+	if !ok {
+		return 0, 0, 0, 0
+	}
+	ps := &slots[i].stats
 	return ps.probes, ps.firstLost, ps.bothLost, ps.effLost
 }
 
@@ -632,8 +794,8 @@ func (a *Aggregator) PathTotals(method, src, dst int) (probes, firstLost, bothLo
 func (a *Aggregator) String() string {
 	var total int64
 	for m := range a.methods {
-		for _, pi := range a.touched[m] {
-			total += a.perPath[m][pi].probes
+		for i := range a.slots[m] {
+			total += a.slots[m][i].stats.probes
 		}
 	}
 	return fmt.Sprintf("analysis.Aggregator{methods=%d hosts=%d probes=%d}",

@@ -171,3 +171,38 @@ func TestMergeRejectsMismatch(t *testing.T) {
 		t.Error("Merge with method-count mismatch accepted")
 	}
 }
+
+// TestMergePartlyOverlappingPaths merges thirds of a campaign that each
+// observed a different, partly overlapping subset of a 128-host mesh's
+// paths — the sparse slot lists interleave, so every merge inserts new
+// paths between existing ones — in two orders, and requires the result
+// to answer every query, per-path counters included, exactly as one
+// aggregator fed the whole campaign.
+func TestMergePartlyOverlappingPaths(t *testing.T) {
+	const hosts, n = 128, 60000
+	obs := meshStream(hosts, n, 6)
+	feedMesh := func(part []Observation) *Aggregator {
+		a := NewAggregator([]string{"loss", "direct rand", "lat loss"}, hosts)
+		for _, o := range part {
+			a.Observe(o)
+		}
+		return a
+	}
+	// Thirds end on 2-hour boundaries, so no window straddles a split.
+	thirds := [][]Observation{obs[:n/3], obs[n/3 : 2*n/3], obs[2*n/3:]}
+	want := figureQueries(feedMesh(obs))
+	for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		merged := NewAggregator([]string{"loss", "direct rand", "lat loss"}, hosts)
+		for _, i := range order {
+			if err := merged.Merge(feedMesh(thirds[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := figureQueries(merged)
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Errorf("merge order %v: query %s differs from the single aggregator", order, k)
+			}
+		}
+	}
+}

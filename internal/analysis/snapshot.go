@@ -2,49 +2,63 @@ package analysis
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
-// aggSnapshotVersion is the version byte leading a serialized aggregator.
-// Bump it on any layout change; UnmarshalAggregator rejects versions it
-// does not know.
+// Aggregator snapshot codec versions. The version byte leads a
+// serialized aggregator; AppendBinary writes aggSnapshotVersion and
+// UnmarshalAggregator reads every version listed here, rejecting others.
 //
 // Version history:
 //
-//	v1: pooled window samples stored expanded — u32 count then one f64
-//	    per sample. O(path-hours) on disk for long campaigns.
-//	v2: pooled window samples stored as sorted run-length pairs — u32
-//	    run count then (f64 value, i64 multiplicity) per run, matching
-//	    the CDF's in-memory representation. O(distinct rates) on disk.
-//	    The reader still restores v1 payloads.
+//	v1: dense per-path section — 13 8-byte fields for every one of the
+//	    n² ordered paths of every method — then the pooled window
+//	    samples stored expanded: u32 count, one f64 per sample.
+//	v2: as v1, with the window samples as sorted run-length pairs —
+//	    u32 run count then (f64 value, i64 multiplicity) per run.
 //	v3: the v2 layout followed by a workload section (FEC/path shape,
 //	    per-variant frame counters, latency and per-stream loss runs).
-//	    Written only when the aggregator holds workload data, so
-//	    probe-only campaigns keep emitting byte-identical v2 payloads.
 //	v4: the v2 layout followed by a u8 workload-present flag, the
 //	    workload section when flagged, and a resilience section
 //	    (underlay outage count, per-scheme recovery counters and
-//	    time-to-recovery runs). Written only when the aggregator holds
-//	    resilience data, so scenario-off campaigns keep emitting
-//	    byte-identical v2/v3 payloads.
-const aggSnapshotVersion = 2
+//	    time-to-recovery runs).
+//	v5: sparse per-path section — per method a u32 count of observed
+//	    paths, then for each in ascending path order a u32 path index
+//	    and its 13 fields — so a snapshot scales with the paths probed,
+//	    not with n². The v2 window runs and tallies follow, then a u8
+//	    flag and the workload section when flagged, then a u8 flag and
+//	    the resilience section when flagged. One layout for every
+//	    campaign.
+const (
+	aggSnapshotVersionExpanded   = 1
+	aggSnapshotVersionWorkload   = 3
+	aggSnapshotVersionResilience = 4
+	aggSnapshotVersionSparse     = 5
 
-// aggSnapshotVersionWorkload marks payloads carrying the trailing
-// workload section.
-const aggSnapshotVersionWorkload = 3
+	aggSnapshotVersion = aggSnapshotVersionSparse
+)
 
-// aggSnapshotVersionResilience marks payloads carrying the trailing
-// resilience section (and a workload-present flag before the optional
-// workload section).
-const aggSnapshotVersionResilience = 4
-
-// SnapshotCodecVersion is the aggregator codec version MarshalBinary
-// writes for probe-only campaigns (workload-bearing aggregators emit
-// aggSnapshotVersionWorkload instead), exported so containers embedding
-// the payload can record and gate on it (see internal/core's
-// loss-window guard).
+// SnapshotCodecVersion is the aggregator codec version AppendBinary
+// writes, exported so containers embedding the payload can record and
+// gate on it (see internal/core's loss-window guard).
 const SnapshotCodecVersion = aggSnapshotVersion
+
+// pathStatsBytes is one path's 13 fixed-width counters on the wire;
+// sparse entries add a u32 path index.
+const (
+	pathStatsBytes  = 13 * 8
+	sparsePathBytes = 4 + pathStatsBytes
+)
+
+// minMethodBytes is the least payload one method occupies past its
+// name in any version: a u32 path count or a non-empty dense section, a
+// u32 window-run count, its 10 Table 6 tallies with the period total,
+// and 48 diurnal tallies. The decoder checks the method count against
+// it before allocating per-method state.
+const minMethodBytes = 4 + 4 + 8*11 + 8*48
 
 // binWriter accumulates the little-endian snapshot payload.
 type binWriter struct{ buf []byte }
@@ -131,48 +145,52 @@ func (a *Aggregator) MarshalBinary() ([]byte, error) {
 // allocating a payload-sized temporary per finished cell.
 func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 	a.Flush()
-	hasWL := a.wl != nil && a.wl.HasData()
-	hasRes := a.res != nil && a.res.HasData()
 	w := &binWriter{buf: buf}
-	switch {
-	case hasRes:
-		w.u8(aggSnapshotVersionResilience)
-	case hasWL:
-		w.u8(aggSnapshotVersionWorkload)
-	default:
-		w.u8(aggSnapshotVersion)
+	w.u8(aggSnapshotVersion)
+	a.appendHeader(w)
+	paths := 0
+	for m := range a.methods {
+		paths += len(a.slots[m])
 	}
+	w.buf = slices.Grow(w.buf, len(a.methods)*4+paths*sparsePathBytes)
+	for m := range a.methods {
+		slots := a.pathSlots(m)
+		w.u32(uint32(len(slots)))
+		for i := range slots {
+			w.u32(uint32(slots[i].path))
+			w.pathStats(&slots[i].stats)
+		}
+	}
+	for m := range a.methods {
+		w.cdfRuns(a.win20Rates[m])
+	}
+	a.appendTallies(w)
+	hasWL := a.wl != nil && a.wl.HasData()
+	w.flag(hasWL)
+	if hasWL {
+		a.appendWorkload(w)
+	}
+	hasRes := a.res != nil && a.res.HasData()
+	w.flag(hasRes)
+	if hasRes {
+		a.appendResilience(w)
+	}
+	return w.buf, nil
+}
+
+// appendHeader writes the method count, host count and method names
+// that follow the version byte in every version.
+func (a *Aggregator) appendHeader(w *binWriter) {
 	w.u32(uint32(len(a.methods)))
 	w.u32(uint32(a.nHosts))
 	for _, m := range a.methods {
 		w.str(m)
 	}
-	for m := range a.methods {
-		for pi := 0; pi < a.nPaths; pi++ {
-			ps := &a.perPath[m][pi]
-			w.i64(ps.probes)
-			w.i64(ps.firstSent)
-			w.i64(ps.firstLost)
-			w.i64(ps.secondSent)
-			w.i64(ps.secondLost)
-			w.i64(ps.bothLost)
-			w.i64(ps.effLost)
-			w.f64(ps.latSumNS)
-			w.i64(ps.latN)
-			w.f64(ps.lat1SumNS)
-			w.i64(ps.lat1N)
-			w.f64(ps.lat2SumNS)
-			w.i64(ps.lat2N)
-		}
-	}
-	for m := range a.methods {
-		c := a.win20Rates[m]
-		w.u32(uint32(c.Distinct()))
-		c.Runs(func(v float64, count int64) {
-			w.f64(v)
-			w.i64(count)
-		})
-	}
+}
+
+// appendTallies writes the sections every version carries after the
+// window samples: Table 6 tallies and the diurnal profiles.
+func (a *Aggregator) appendTallies(w *binWriter) {
 	w.u32(uint32(len(Table6Thresholds)))
 	for m := range a.methods {
 		for _, c := range a.hourCounts[m] {
@@ -189,49 +207,69 @@ func (a *Aggregator) AppendBinary(buf []byte) ([]byte, error) {
 			w.i64(a.hodLost[m][h])
 		}
 	}
-	if hasRes {
-		// v4 carries the workload section conditionally; flag its
-		// presence so the reader knows whether to expect it.
-		if hasWL {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-	}
-	if hasWL {
-		w.u32(uint32(a.wl.DataShards))
-		w.u32(uint32(a.wl.ParityShards))
-		w.u32(uint32(a.wl.Paths))
-		for i := range a.wl.variants {
-			v := &a.wl.variants[i]
-			w.i64(v.FramesSent)
-			w.i64(v.FramesDelivered)
-			w.i64(v.ShardsSent)
-			w.i64(v.ShardsDelivered)
-			w.i64(v.ReconstructFailures)
-			w.f64(v.latSumNS)
-			w.i64(v.latN)
-			w.cdfRuns(&v.latCDF)
-			w.cdfRuns(&v.lossCDF)
-		}
-	}
-	if hasRes {
-		w.i64(a.res.UnderlayOutages)
-		for i := range a.res.variants {
-			v := &a.res.variants[i]
-			w.i64(v.ProbesSent)
-			w.i64(v.ProbesDelivered)
-			w.i64(v.Masked)
-			w.f64(v.ttrSumNS)
-			w.i64(v.ttrN)
-			w.cdfRuns(&v.ttrCDF)
-		}
-	}
-	return w.buf, nil
 }
 
-// cdfRuns writes a CDF in the same run-length form as the v2 window
-// pools: u32 run count, then (f64 value, i64 multiplicity) per run.
+// appendWorkload writes the workload section (v3 onward).
+func (a *Aggregator) appendWorkload(w *binWriter) {
+	w.u32(uint32(a.wl.DataShards))
+	w.u32(uint32(a.wl.ParityShards))
+	w.u32(uint32(a.wl.Paths))
+	for i := range a.wl.variants {
+		v := &a.wl.variants[i]
+		w.i64(v.FramesSent)
+		w.i64(v.FramesDelivered)
+		w.i64(v.ShardsSent)
+		w.i64(v.ShardsDelivered)
+		w.i64(v.ReconstructFailures)
+		w.f64(v.latSumNS)
+		w.i64(v.latN)
+		w.cdfRuns(&v.latCDF)
+		w.cdfRuns(&v.lossCDF)
+	}
+}
+
+// appendResilience writes the resilience section (v4 onward).
+func (a *Aggregator) appendResilience(w *binWriter) {
+	w.i64(a.res.UnderlayOutages)
+	for i := range a.res.variants {
+		v := &a.res.variants[i]
+		w.i64(v.ProbesSent)
+		w.i64(v.ProbesDelivered)
+		w.i64(v.Masked)
+		w.f64(v.ttrSumNS)
+		w.i64(v.ttrN)
+		w.cdfRuns(&v.ttrCDF)
+	}
+}
+
+// pathStats writes one path's 13 counters.
+func (w *binWriter) pathStats(ps *pathStats) {
+	w.i64(ps.probes)
+	w.i64(ps.firstSent)
+	w.i64(ps.firstLost)
+	w.i64(ps.secondSent)
+	w.i64(ps.secondLost)
+	w.i64(ps.bothLost)
+	w.i64(ps.effLost)
+	w.f64(ps.latSumNS)
+	w.i64(ps.latN)
+	w.f64(ps.lat1SumNS)
+	w.i64(ps.lat1N)
+	w.f64(ps.lat2SumNS)
+	w.i64(ps.lat2N)
+}
+
+// flag writes a section-present byte.
+func (w *binWriter) flag(present bool) {
+	if present {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
+
+// cdfRuns writes a CDF in run-length form: u32 run count, then (f64
+// value, i64 multiplicity) per run in ascending value order.
 func (w *binWriter) cdfRuns(c *CDF) {
 	w.u32(uint32(c.Distinct()))
 	c.Runs(func(v float64, count int64) {
@@ -240,44 +278,85 @@ func (w *binWriter) cdfRuns(c *CDF) {
 	})
 }
 
+// pathStats reads one path's 13 counters.
+func (r *binReader) pathStats(ps *pathStats) {
+	ps.probes = r.i64()
+	ps.firstSent = r.i64()
+	ps.firstLost = r.i64()
+	ps.secondSent = r.i64()
+	ps.secondLost = r.i64()
+	ps.bothLost = r.i64()
+	ps.effLost = r.i64()
+	ps.latSumNS = r.f64()
+	ps.latN = r.i64()
+	ps.lat1SumNS = r.f64()
+	ps.lat1N = r.i64()
+	ps.lat2SumNS = r.f64()
+	ps.lat2N = r.i64()
+}
+
+// flag reads a section-present byte, which must be 0 or 1.
+func (r *binReader) flag() (bool, error) {
+	switch f := r.u8(); {
+	case r.err != nil:
+		return false, r.err
+	case f > 1:
+		return false, fmt.Errorf("analysis: aggregator snapshot section flag %d, want 0 or 1", f)
+	default:
+		return f == 1, nil
+	}
+}
+
 // readCDFRuns restores a run-length CDF section written by cdfRuns.
+// Runs must ascend strictly with positive counts — the only form the
+// writer produces — so an accepted section re-encodes to the same bytes.
 func readCDFRuns(r *binReader, c *CDF) error {
 	n := int(r.u32())
 	if r.err != nil {
 		return r.err
 	}
-	if n < 0 || n*16 > r.remaining() {
+	if n*16 > r.remaining() {
 		return fmt.Errorf("analysis: aggregator snapshot claims %d CDF runs with %d bytes left", n, r.remaining())
 	}
+	var prev float64
 	for i := 0; i < n; i++ {
 		v := r.f64()
 		count := r.i64()
 		if count <= 0 {
 			return fmt.Errorf("analysis: aggregator snapshot CDF run %d has non-positive count %d", i, count)
 		}
+		if math.IsNaN(v) || (i > 0 && !(v > prev)) {
+			return fmt.Errorf("analysis: aggregator snapshot CDF run %d value %v does not ascend", i, v)
+		}
+		prev = v
 		c.AddWeighted(v, count)
 	}
 	return r.err
 }
 
-// UnmarshalAggregator rebuilds an aggregator from MarshalBinary output.
-// The result is flushed (no in-progress windows) and ready to query or
-// Merge. Truncated, oversized, or version-mismatched payloads return an
-// error.
+// UnmarshalAggregator rebuilds an aggregator from MarshalBinary output
+// of any codec version. The result is flushed (no in-progress windows)
+// and ready to query or Merge. Truncated, oversized, non-canonical or
+// version-mismatched payloads return an error. Allocation is bounded by
+// the payload's size: every count is checked against the bytes left
+// before anything is sized from it.
 func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 	r := &binReader{buf: data}
 	version := r.u8()
-	if r.err == nil && (version < 1 || version > aggSnapshotVersionResilience) {
+	if r.err == nil && (version < aggSnapshotVersionExpanded || version > aggSnapshotVersion) {
 		return nil, fmt.Errorf("analysis: unsupported aggregator snapshot version %d (want 1..%d)",
-			version, aggSnapshotVersionResilience)
+			version, aggSnapshotVersion)
 	}
 	nm := int(r.u32())
 	nHosts := int(r.u32())
 	if r.err != nil {
 		return nil, r.err
 	}
-	if nm < 1 || nm > 1<<10 || nHosts < 2 || nHosts > 1<<16 {
+	if nm < 1 || nm > 1<<10 || nHosts < 2 || nHosts > maxHosts {
 		return nil, fmt.Errorf("analysis: implausible aggregator snapshot header: %d methods, %d hosts", nm, nHosts)
+	}
+	if nm*4 > r.remaining() {
+		return nil, fmt.Errorf("analysis: aggregator snapshot claims %d methods with %d bytes left", nm, r.remaining())
 	}
 	methods := make([]string, nm)
 	for i := range methods {
@@ -286,65 +365,38 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	// The per-path section alone needs 13 8-byte fields per (method,
-	// path); refuse implausible headers before NewAggregator allocates
-	// O(methods × hosts²) state for what a corrupt file merely claims.
-	if need := int64(nm) * int64(nHosts) * int64(nHosts) * 104; need > int64(r.remaining()) {
-		return nil, fmt.Errorf("analysis: aggregator snapshot claims %d methods × %d hosts (%d bytes of path stats) with %d bytes left",
-			nm, nHosts, need, r.remaining())
+	if need := int64(nm) * minMethodBytes; need > int64(r.remaining()) {
+		return nil, fmt.Errorf("analysis: aggregator snapshot claims %d methods (at least %d bytes) with %d bytes left",
+			nm, need, r.remaining())
 	}
 	a := NewAggregator(methods, nHosts)
-	for m := 0; m < nm; m++ {
-		for pi := 0; pi < a.nPaths; pi++ {
-			ps := &a.perPath[m][pi]
-			ps.probes = r.i64()
-			ps.firstSent = r.i64()
-			ps.firstLost = r.i64()
-			ps.secondSent = r.i64()
-			ps.secondLost = r.i64()
-			ps.bothLost = r.i64()
-			ps.effLost = r.i64()
-			ps.latSumNS = r.f64()
-			ps.latN = r.i64()
-			ps.lat1SumNS = r.f64()
-			ps.lat1N = r.i64()
-			ps.lat2SumNS = r.f64()
-			ps.lat2N = r.i64()
-		}
-		// Rebuild the touched-path index the live aggregator maintains
-		// incrementally: the snapshot stores the dense slab, and every
-		// O(touched) query and Reset depends on this list being exact.
-		for pi := 0; pi < a.nPaths; pi++ {
-			if a.perPath[m][pi].probes > 0 {
-				a.touched[m] = append(a.touched[m], int32(pi))
-			}
-		}
+	var err error
+	if version == aggSnapshotVersionSparse {
+		err = readSparsePaths(r, a)
+	} else {
+		err = readDensePaths(r, a)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for m := 0; m < nm; m++ {
-		n := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		switch version {
-		case 1: // expanded samples: one f64 each
-			if n < 0 || n*8 > r.remaining() {
+		if version == aggSnapshotVersionExpanded {
+			n := int(r.u32())
+			if r.err != nil {
+				return nil, r.err
+			}
+			if n*8 > r.remaining() {
 				return nil, fmt.Errorf("analysis: aggregator snapshot claims %d window samples with %d bytes left", n, r.remaining())
 			}
 			for i := 0; i < n; i++ {
-				a.win20Rates[m].Add(r.f64())
-			}
-		default: // v2: (value, count) runs
-			if n < 0 || n*16 > r.remaining() {
-				return nil, fmt.Errorf("analysis: aggregator snapshot claims %d window-sample runs with %d bytes left", n, r.remaining())
-			}
-			for i := 0; i < n; i++ {
 				v := r.f64()
-				count := r.i64()
-				if count <= 0 {
-					return nil, fmt.Errorf("analysis: aggregator snapshot run %d has non-positive count %d", i, count)
+				if math.IsNaN(v) {
+					return nil, fmt.Errorf("analysis: aggregator snapshot window sample %d is NaN", i)
 				}
-				a.win20Rates[m].AddWeighted(v, count)
+				a.win20Rates[m].Add(v)
 			}
+		} else if err := readCDFRuns(r, a.win20Rates[m]); err != nil {
+			return nil, err
 		}
 	}
 	if nt := int(r.u32()); r.err == nil && nt != len(Table6Thresholds) {
@@ -366,45 +418,40 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 			a.hodLost[m][h] = r.i64()
 		}
 	}
-	readWL := version >= aggSnapshotVersionWorkload
-	if version >= aggSnapshotVersionResilience {
-		readWL = r.u8() != 0
+	if r.err != nil {
+		return nil, r.err
 	}
-	if readWL {
-		wl := a.ensureWorkload()
-		wl.DataShards = int(r.u32())
-		wl.ParityShards = int(r.u32())
-		wl.Paths = int(r.u32())
-		for i := range wl.variants {
-			v := &wl.variants[i]
-			v.FramesSent = r.i64()
-			v.FramesDelivered = r.i64()
-			v.ShardsSent = r.i64()
-			v.ShardsDelivered = r.i64()
-			v.ReconstructFailures = r.i64()
-			v.latSumNS = r.f64()
-			v.latN = r.i64()
-			if err := readCDFRuns(r, &v.latCDF); err != nil {
-				return nil, err
-			}
-			if err := readCDFRuns(r, &v.lossCDF); err != nil {
-				return nil, err
-			}
+
+	readWL, readRes := false, false
+	switch version {
+	case aggSnapshotVersionWorkload:
+		readWL = true
+	case aggSnapshotVersionResilience:
+		readWL, readRes = r.u8() != 0, true
+	case aggSnapshotVersionSparse:
+		if readWL, err = r.flag(); err != nil {
+			return nil, err
 		}
 	}
-	if version >= aggSnapshotVersionResilience {
-		res := a.ensureResilience()
-		res.UnderlayOutages = r.i64()
-		for i := range res.variants {
-			v := &res.variants[i]
-			v.ProbesSent = r.i64()
-			v.ProbesDelivered = r.i64()
-			v.Masked = r.i64()
-			v.ttrSumNS = r.f64()
-			v.ttrN = r.i64()
-			if err := readCDFRuns(r, &v.ttrCDF); err != nil {
-				return nil, err
-			}
+	if readWL {
+		if err := readWorkload(r, a.ensureWorkload()); err != nil {
+			return nil, err
+		}
+		if version == aggSnapshotVersionSparse && !a.wl.HasData() {
+			return nil, errors.New("analysis: aggregator snapshot flags an empty workload section")
+		}
+	}
+	if version == aggSnapshotVersionSparse {
+		if readRes, err = r.flag(); err != nil {
+			return nil, err
+		}
+	}
+	if readRes {
+		if err := readResilience(r, a.ensureResilience()); err != nil {
+			return nil, err
+		}
+		if version == aggSnapshotVersionSparse && !a.res.HasData() {
+			return nil, errors.New("analysis: aggregator snapshot flags an empty resilience section")
 		}
 	}
 	if r.err != nil {
@@ -414,4 +461,103 @@ func UnmarshalAggregator(data []byte) (*Aggregator, error) {
 		return nil, fmt.Errorf("analysis: %d trailing bytes after aggregator snapshot", r.remaining())
 	}
 	return a, nil
+}
+
+// readSparsePaths reads the v5 per-path section: per method a count,
+// then that many (path index, counters) entries in strictly ascending
+// path order, each with probes > 0. Slots are sized to the count, which
+// is checked against the bytes left first.
+func readSparsePaths(r *binReader, a *Aggregator) error {
+	nPaths := uint32(a.nHosts * a.nHosts)
+	for m := range a.methods {
+		n := r.u32()
+		if r.err != nil {
+			return r.err
+		}
+		if n > nPaths || int64(n)*sparsePathBytes > int64(r.remaining()) {
+			return fmt.Errorf("analysis: aggregator snapshot claims %d paths for method %d (of %d) with %d bytes left",
+				n, m, nPaths, r.remaining())
+		}
+		slots := make([]pathSlot, n)
+		for i := range slots {
+			pi := r.u32()
+			if pi >= nPaths || (i > 0 && pi <= uint32(slots[i-1].path)) {
+				return fmt.Errorf("analysis: aggregator snapshot path %d of method %d has index %d: want ascending below %d",
+					i, m, pi, nPaths)
+			}
+			slots[i].path = int32(pi)
+			slots[i].win = freshWindows
+			r.pathStats(&slots[i].stats)
+			if slots[i].stats.probes <= 0 {
+				return fmt.Errorf("analysis: aggregator snapshot path %d of method %d lists %d probes",
+					pi, m, slots[i].stats.probes)
+			}
+		}
+		a.slots[m] = slots
+	}
+	return r.err
+}
+
+// readDensePaths reads the v1–v4 per-path section, every one of the n²
+// paths of every method, keeping the observed ones (probes > 0).
+func readDensePaths(r *binReader, a *Aggregator) error {
+	nPaths := a.nHosts * a.nHosts
+	// Refuse implausible headers before reading what a corrupt file
+	// merely claims.
+	if need := int64(len(a.methods)) * int64(nPaths) * pathStatsBytes; need > int64(r.remaining()) {
+		return fmt.Errorf("analysis: aggregator snapshot claims %d methods × %d hosts (%d bytes of path stats) with %d bytes left",
+			len(a.methods), a.nHosts, need, r.remaining())
+	}
+	for m := range a.methods {
+		for pi := 0; pi < nPaths; pi++ {
+			var ps pathStats
+			r.pathStats(&ps)
+			if ps.probes > 0 {
+				a.slots[m] = append(a.slots[m], pathSlot{path: int32(pi), win: freshWindows, stats: ps})
+			}
+		}
+	}
+	return r.err
+}
+
+// readWorkload restores a workload section written by appendWorkload.
+func readWorkload(r *binReader, wl *WorkloadStats) error {
+	wl.DataShards = int(r.u32())
+	wl.ParityShards = int(r.u32())
+	wl.Paths = int(r.u32())
+	for i := range wl.variants {
+		v := &wl.variants[i]
+		v.FramesSent = r.i64()
+		v.FramesDelivered = r.i64()
+		v.ShardsSent = r.i64()
+		v.ShardsDelivered = r.i64()
+		v.ReconstructFailures = r.i64()
+		v.latSumNS = r.f64()
+		v.latN = r.i64()
+		if err := readCDFRuns(r, &v.latCDF); err != nil {
+			return err
+		}
+		if err := readCDFRuns(r, &v.lossCDF); err != nil {
+			return err
+		}
+	}
+	return r.err
+}
+
+// readResilience restores a resilience section written by
+// appendResilience.
+func readResilience(r *binReader, res *ResilienceStats) error {
+	res.UnderlayOutages = r.i64()
+	for i := range res.variants {
+		v := &res.variants[i]
+		v.ProbesSent = r.i64()
+		v.ProbesDelivered = r.i64()
+		v.Masked = r.i64()
+		v.ttrSumNS = r.f64()
+		v.ttrN = r.i64()
+		if err := readCDFRuns(r, &v.ttrCDF); err != nil {
+			return err
+		}
+	}
+	return r.err
 }

@@ -132,3 +132,68 @@ func TestAggregatorSnapshotRejectsBadInput(t *testing.T) {
 		t.Error("accepted a 50000-host header with no payload")
 	}
 }
+
+// TestAggregatorSnapshotRejectsBadSparse checks the sparse per-path
+// section's validation: a path count beyond n² or beyond the bytes
+// left, indices out of range or not strictly ascending, listed paths
+// with no probes, and non-canonical section flags are all refused.
+func TestAggregatorSnapshotRejectsBadSparse(t *testing.T) {
+	a := feed(mergeStream(2000, 1))
+	good, err := a.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalAggregator(good); err != nil {
+		t.Fatalf("valid payload rejected: %v", err)
+	}
+	// Offsets into the payload: version, method and host counts, then
+	// the method names, then method 0's path count and first entries.
+	countAt := 1 + 4 + 4
+	for _, m := range a.Methods() {
+		countAt += 4 + len(m)
+	}
+	firstPath := countAt + 4
+	secondPath := firstPath + sparsePathBytes
+	le32 := func(b []byte, off int, v uint32) {
+		b[off], b[off+1], b[off+2], b[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(b []byte)
+	}{
+		{"count beyond n²", func(b []byte) { le32(b, countAt, 6*6+1) }},
+		{"index out of range", func(b []byte) { le32(b, firstPath, 36) }},
+		{"indices not ascending", func(b []byte) { copy(b[secondPath:secondPath+4], b[firstPath:firstPath+4]) }},
+		{"path without probes", func(b []byte) { clear(b[firstPath+4 : firstPath+12]) }},
+		{"workload flag not 0/1", func(b []byte) { b[len(b)-2] = 2 }},
+	} {
+		bad := append([]byte(nil), good...)
+		tc.mutate(bad)
+		if _, err := UnmarshalAggregator(bad); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := UnmarshalAggregator(good[:secondPath]); err == nil {
+		t.Error("accepted a path count beyond the bytes left")
+	}
+	// A flagged section must hold data: the writer flags only those,
+	// so an accepted payload re-encodes to its own bytes.
+	empty := &binWriter{buf: append([]byte(nil), good[:len(good)-1]...)}
+	empty.flag(true)
+	(&Aggregator{res: &ResilienceStats{}}).appendResilience(empty)
+	if _, err := UnmarshalAggregator(empty.buf); err == nil {
+		t.Error("accepted a flagged empty resilience section")
+	}
+	// A plausible header claiming more methods than the payload could
+	// hold is refused before per-method state is allocated.
+	w := &binWriter{}
+	w.u8(aggSnapshotVersion)
+	w.u32(1 << 10)
+	w.u32(1 << 15)
+	for i := 0; i < 1<<10; i++ {
+		w.str("m")
+	}
+	if _, err := UnmarshalAggregator(w.buf); err == nil {
+		t.Error("accepted 1024 methods with no per-method payload")
+	}
+}

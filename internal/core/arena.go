@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/analysis"
 	"repro/internal/netsim"
 	"repro/internal/route"
@@ -57,9 +59,9 @@ func (a *Arena) Run(cfg Config) (*Result, error) { return a.run(cfg, false) }
 
 // RunRetained is Run, except the Result and its aggregator are freshly
 // allocated and independent of the arena, safe to retain indefinitely.
-// All other campaign state — network, selector, event queue, probe
-// stream, routing tables, RNG — is still reused, which is most of the
-// per-cell construction cost.
+// The campaign itself still runs entirely in reused state — network,
+// selector, event queue, probe stream, routing tables, RNG, and the
+// aggregator, which is cloned at exact size once the cell finishes.
 func (a *Arena) RunRetained(cfg Config) (*Result, error) { return a.run(cfg, true) }
 
 // prepare refreshes the testbed/method caches for the cell's topology.
@@ -132,17 +134,13 @@ func (a *Arena) run(cfg Config, retain bool) (*Result, error) {
 		}
 		a.sel.SetPlan(a.plan)
 	}
-	var agg *analysis.Aggregator
-	if retain {
-		agg = analysis.NewAggregator(a.names, n)
+	if a.agg != nil && a.agg.Hosts() == n && sameNames(a.agg.Methods(), a.names) {
+		a.agg.Reset()
 	} else {
-		if a.agg != nil && a.agg.Hosts() == n && sameNames(a.agg.Methods(), a.names) {
-			a.agg.Reset()
-		} else {
-			a.agg = analysis.NewAggregator(a.names, n)
-		}
-		agg = a.agg
+		a.agg = analysis.NewAggregator(a.names, n)
 	}
+	agg := a.agg
+	agg.Reserve(cfg.expectedPaths(n, len(a.methods)))
 	a.rng.Seed(cfg.Seed ^ 0xCA39A160)
 
 	var res *Result
@@ -183,5 +181,24 @@ func (a *Arena) run(cfg Config, retain bool) (*Result, error) {
 	c.finishWorkload()
 	c.finishScenario()
 	agg.Flush()
+	if retain {
+		// The campaign ran into the arena's aggregator, whose path slots
+		// keep the capacity earlier cells grew; the retained result gets
+		// a copy sized to exactly the paths this cell observed.
+		res.Agg = agg.Clone()
+	}
 	return res, nil
+}
+
+// expectedPaths is the expected number of distinct paths each method's
+// measurement probes observe in an n-node cell: every node probes once
+// per mean measurement gap, rotating through the methods, to a uniform
+// random destination, so k probes per method over the N = n(n-1)
+// ordered paths observe N·(1-(1-1/N)^k) of them. It sizes the
+// aggregator's path slots up front.
+func (c Config) expectedPaths(n, methods int) int {
+	paths := float64(n * (n - 1))
+	gap := (c.MeasureGapMin + c.MeasureGapMax).Seconds() / 2
+	k := float64(n) * (1 + c.Days*86400/gap) / float64(methods)
+	return int(math.Ceil(-paths * math.Expm1(k*math.Log1p(-1/paths))))
 }

@@ -167,9 +167,10 @@ func TestScenarioCampaignResilience(t *testing.T) {
 	}
 }
 
-// TestScenarioSnapshotV4RoundTrip pins the codec: scenario-off
-// aggregators keep their pre-v4 version byte, scenario aggregators emit
-// v4, round-trip exactly, and merge.
+// TestScenarioSnapshotV4RoundTrip pins the codec: scenario-off and
+// scenario aggregators alike emit the one current version byte, and the
+// resilience section (first carried by v4) round-trips exactly and
+// merges.
 func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	off := DefaultConfig(RONnarrow, sweepDays)
 	off.Seed = 3
@@ -195,8 +196,8 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb[0] != 4 {
-		t.Fatalf("scenario payload version = %d, want 4", sb[0])
+	if sb[0] != analysis.SnapshotCodecVersion {
+		t.Fatalf("scenario payload version = %d, want %d", sb[0], analysis.SnapshotCodecVersion)
 	}
 	back, err := analysis.UnmarshalAggregator(sb)
 	if err != nil {
@@ -207,7 +208,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sb, sb2) {
-		t.Error("v4 payload did not round-trip byte-identically")
+		t.Error("resilience-bearing payload did not round-trip byte-identically")
 	}
 
 	// Merging a resilience-bearing aggregator into a plain one carries
@@ -223,7 +224,7 @@ func TestScenarioSnapshotV4RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mb[0] != 4 {
-		t.Errorf("merged payload version = %d, want 4", mb[0])
+	if mb[0] != analysis.SnapshotCodecVersion {
+		t.Errorf("merged payload version = %d, want %d", mb[0], analysis.SnapshotCodecVersion)
 	}
 }
